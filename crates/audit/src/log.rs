@@ -155,7 +155,9 @@ impl AuditLog {
         self.append(&record.encode())
     }
 
-    /// Commits every buffered entry in one write.
+    /// Commits every buffered entry in a single `write(2)`, with no
+    /// fsync: once this returns the entries survive a crash of this
+    /// process, but not an OS crash or power loss.
     pub fn flush(&mut self) -> std::io::Result<()> {
         if self.pending.is_empty() {
             return Ok(());

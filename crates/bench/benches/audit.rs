@@ -18,46 +18,22 @@
 //! [`MAX_AUDIT_OVERHEAD_PCT`] under `--enforce` on multi-core hosts.
 
 use std::sync::Mutex;
-use std::time::Instant;
 
 use rap_audit::{AuditLog, ChainVerifier};
-use rap_bench::harness::{host_cores, BenchArgs, BenchGroup, BenchReport};
-use rap_link::{link, LinkOptions, LinkedProgram};
-use rap_obs::Json;
-use rap_serve::{AttestClient, ClientConfig, Server, ServerConfig};
-use rap_track::{
-    device_key, verdict_seal_key, CfaEngine, Challenge, EngineConfig, Key, Report, VerdictDraft,
-    VerdictRecord, Verifier,
+use rap_bench::fixtures::{
+    bench_key, bench_server_config, bench_verifier, deployed, drive_pipelined, CachedResponder,
 };
+use rap_bench::harness::{host_cores, BenchArgs, BenchGroup, BenchReport};
+use rap_obs::Json;
+use rap_serve::{Server, ServerConfig};
+use rap_track::{verdict_seal_key, Challenge, VerdictDraft, VerdictRecord};
 
 /// Rounds per client per sample (full mode).
 const ROUNDS_PER_CLIENT: usize = 16;
 
-/// Pipeline window requested by pipelined-mode clients.
-const WINDOW: u16 = 8;
-
 /// The gate: maximum pipelined-throughput regression at 8 clients with
 /// `--audit-log` sealing and chaining every round.
 const MAX_AUDIT_OVERHEAD_PCT: f64 = 5.0;
-
-fn bench_key() -> Key {
-    device_key("audit-bench")
-}
-
-fn deployed() -> (LinkedProgram, workloads::Workload) {
-    let w = workloads::by_name("syringe").expect("syringe workload exists");
-    let linked = link(&w.module, 0, LinkOptions::default()).expect("workload links");
-    (linked, w)
-}
-
-fn bench_verifier(linked: &LinkedProgram) -> Verifier {
-    Verifier::builder()
-        .key(bench_key())
-        .image(linked.image.clone())
-        .map(linked.map.clone())
-        .build()
-        .expect("key/image/map are all set")
-}
 
 fn draft(seq: u64) -> VerdictDraft {
     VerdictDraft {
@@ -81,82 +57,6 @@ fn tmp(name: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!("rap-audit-bench-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
     dir.join(name)
-}
-
-/// See `benches/serve.rs` — same cached-execution responder: per-round
-/// prover cost is one re-sign, so the audit append cost is not hidden
-/// under simulation time.
-struct CachedResponder {
-    reports: Vec<Report>,
-}
-
-impl CachedResponder {
-    fn new(linked: &LinkedProgram, w: &workloads::Workload) -> CachedResponder {
-        let engine = CfaEngine::new(bench_key());
-        let mut machine = mcu_sim::Machine::new(linked.image.clone());
-        (w.attach)(&mut machine);
-        let reports = engine
-            .attest(
-                &mut machine,
-                &linked.map,
-                Challenge::from_seed(0),
-                EngineConfig {
-                    max_instrs: w.max_instrs * 2,
-                    watermark: Some(256),
-                },
-            )
-            .expect("benign attestation runs")
-            .reports;
-        CachedResponder { reports }
-    }
-
-    fn respond(&self, chal: Challenge) -> Vec<Report> {
-        self.reports
-            .iter()
-            .enumerate()
-            .map(|(seq, r)| {
-                Report::new(
-                    &bench_key(),
-                    chal,
-                    r.h_mem,
-                    r.log.clone(),
-                    seq as u32,
-                    r.is_final,
-                    r.overflow,
-                )
-            })
-            .collect()
-    }
-}
-
-fn drive_pipelined(addr: std::net::SocketAddr, responder: &CachedResponder, rounds: usize) {
-    std::thread::scope(|scope| {
-        for i in 0..8 {
-            scope.spawn(move || {
-                let client = AttestClient::new(
-                    addr.to_string(),
-                    ClientConfig {
-                        retries: 8,
-                        backoff_base: std::time::Duration::from_millis(1),
-                        backoff_cap: std::time::Duration::from_millis(20),
-                        read_timeout: std::time::Duration::from_secs(30),
-                        window: WINDOW,
-                        ..ClientConfig::default()
-                    },
-                );
-                let mut conn = client
-                    .open(&format!("pipelined-{i}"))
-                    .expect("connection opens");
-                let verdicts = conn
-                    .pipelined(rounds, |chal| responder.respond(chal))
-                    .expect("pipelined rounds complete");
-                assert!(
-                    verdicts.iter().all(|v| v.accepted),
-                    "benign rounds must verify"
-                );
-            });
-        }
-    });
 }
 
 fn main() {
@@ -246,22 +146,15 @@ fn main() {
             bench_verifier(&linked),
             "127.0.0.1:0",
             ServerConfig {
-                threads: 4,
-                window: WINDOW,
-                session_secret: b"audit-bench-secret".to_vec(),
                 audit_log: with_audit.then(|| audit_path.clone()),
-                ..ServerConfig::default()
+                ..bench_server_config()
             },
         )
         .expect("server binds");
         let addr = server.local_addr();
 
-        let lat = Mutex::new(Vec::<u64>::new());
-        let stats = group.bench(case, || {
-            let t0 = Instant::now();
-            drive_pipelined(addr, &responder, rounds);
-            lat.lock().unwrap().push(t0.elapsed().as_nanos() as u64);
-        });
+        let lat = Mutex::new(Vec::new());
+        let stats = group.bench(case, || drive_pipelined(addr, &responder, 8, rounds, &lat));
         let median = stats.median.as_secs_f64();
         let per_sec = if median > 0.0 {
             (8 * rounds) as f64 / median

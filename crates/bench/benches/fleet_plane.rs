@@ -104,7 +104,7 @@ fn main() {
             [
                 ("devices", Json::Uint(devices as u64)),
                 ("rounds_per_iter", Json::Uint(rounds_per_iter)),
-                ("rounds_per_sec", Json::Str(format!("{rounds_per_sec:.0}"))),
+                ("rounds_per_sec", Json::Num(rounds_per_sec)),
                 ("p99_sched_lag_ns", Json::Uint(p99_lag)),
             ],
         );

@@ -13,71 +13,11 @@
 //! `--quick` shrinks the fleet for CI smoke runs; `--json <path>`
 //! writes the per-case summaries.
 
+use rap_bench::fixtures::Deployment;
 use rap_bench::harness::{BenchArgs, BenchGroup, BenchReport};
-use rap_link::{link, LinkOptions};
-use rap_track::{device_key, BatchOptions, CfaEngine, Challenge, EngineConfig, FleetJob, Verifier};
 
 /// Events recorded per micro-bench iteration (amortizes loop overhead).
 const EVENTS_PER_ITER: u64 = 1024;
-
-struct Deployment {
-    key: rap_track::Key,
-    image: armv8m_isa::Image,
-    map: rap_link::LinkMap,
-    jobs: Vec<FleetJob>,
-}
-
-/// One attested workload replicated across a small fleet — enough
-/// replay work that the per-event instrumentation cost is visible if it
-/// exists, small enough to sample repeatedly.
-fn deployment(devices: usize) -> Deployment {
-    let w = workloads::gps::workload();
-    let linked = link(&w.module, 0, LinkOptions::default()).expect("workload links");
-    let key = device_key("obs-bench");
-    let engine = CfaEngine::new(key.clone());
-    let chal = Challenge::from_seed(7);
-    let mut machine = mcu_sim::Machine::new(linked.image.clone());
-    (w.attach)(&mut machine);
-    let att = engine
-        .attest(
-            &mut machine,
-            &linked.map,
-            chal,
-            EngineConfig {
-                max_instrs: w.max_instrs * 2,
-                watermark: Some(256),
-            },
-        )
-        .expect("workload attests");
-    let jobs = (0..devices)
-        .map(|device| FleetJob {
-            device: format!("gps-{device:03}"),
-            chal,
-            reports: att.reports.clone(),
-        })
-        .collect();
-    Deployment {
-        key,
-        image: linked.image,
-        map: linked.map,
-        jobs,
-    }
-}
-
-/// One cold-cache fleet verification pass.
-fn run(d: &Deployment, threads: usize) -> usize {
-    let verifier = Verifier::builder()
-        .key(d.key.clone())
-        .image(d.image.clone())
-        .map(d.map.clone())
-        .build()
-        .expect("key/image/map are all set");
-    let outcomes = verifier
-        .fleet(BatchOptions::with_threads(threads))
-        .run(d.jobs.clone());
-    assert!(outcomes.iter().all(|o| o.accepted()), "fleet must verify");
-    outcomes.len()
-}
 
 fn main() {
     let args = BenchArgs::parse();
@@ -120,12 +60,15 @@ fn main() {
         .unwrap_or(4)
         .min(4);
     let (rounds, reps) = if args.quick { (9, 5) } else { (15, 10) };
-    let d = deployment(devices);
+    // One attested workload replicated across a small fleet — enough
+    // replay work that the per-event instrumentation cost is visible
+    // if it exists, small enough to sample repeatedly.
+    let d = Deployment::replicate(&workloads::gps::workload(), devices);
 
     let time_reps = |reps: u32| {
         let start = std::time::Instant::now();
         for _ in 0..reps {
-            std::hint::black_box(run(&d, threads));
+            std::hint::black_box(d.verify(threads));
         }
         start.elapsed() / reps
     };

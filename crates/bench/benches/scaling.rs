@@ -5,7 +5,8 @@
 //! (two-level replay cache, atomic-ticket dispenser, merge-at-join
 //! stats): each case re-verifies the same fleet with a different pool
 //! size, and `speedup_vs_1` is the 1-thread median divided by the
-//! case's median.
+//! case's median. Before timing, a replay-cache probe prints one
+//! deployment's hit rate on a shared verifier.
 //!
 //! * `--quick` shrinks the fleet and runs threads {1, 2, 4} only — the
 //!   `threads_2` row gives small hosts an attributable scaling point;
@@ -21,10 +22,10 @@
 //!
 //! The final markdown table is pasted into README §"Scaling".
 
+use rap_bench::fixtures::Deployment;
 use rap_bench::harness::{BenchArgs, BenchGroup, BenchReport};
-use rap_link::{link, LinkOptions};
 use rap_obs::Json;
-use rap_track::{device_key, BatchOptions, CfaEngine, Challenge, EngineConfig, FleetJob, Verifier};
+use rap_track::BatchOptions;
 
 /// Devices simulated per workload (full mode).
 const FLEET_PER_WORKLOAD: usize = 16;
@@ -32,71 +33,11 @@ const FLEET_PER_WORKLOAD: usize = 16;
 /// The gate: minimum acceptable 4-thread speedup over 1 thread.
 const MIN_SPEEDUP_4: f64 = 1.5;
 
-struct Deployment {
-    verifier_key: rap_track::Key,
-    image: armv8m_isa::Image,
-    map: rap_link::LinkMap,
-    jobs: Vec<FleetJob>,
-}
-
-/// Attests each workload once and replicates the stream across
-/// `per_workload` simulated devices (same binary, same challenge
-/// round) — the same fleet shape as `benches/fleet.rs`.
-fn deployments(per_workload: usize) -> Vec<Deployment> {
-    workloads::all()
-        .iter()
-        .map(|w| {
-            let linked = link(&w.module, 0, LinkOptions::default()).expect("workload links");
-            let key = device_key("scaling-bench");
-            let engine = CfaEngine::new(key.clone());
-            let chal = Challenge::from_seed(7);
-            let mut machine = mcu_sim::Machine::new(linked.image.clone());
-            (w.attach)(&mut machine);
-            let att = engine
-                .attest(
-                    &mut machine,
-                    &linked.map,
-                    chal,
-                    EngineConfig {
-                        max_instrs: w.max_instrs * 2,
-                        watermark: Some(256),
-                    },
-                )
-                .expect("workload attests");
-            let jobs = (0..per_workload)
-                .map(|device| FleetJob {
-                    device: format!("{}-{device:03}", w.name),
-                    chal,
-                    reports: att.reports.clone(),
-                })
-                .collect();
-            Deployment {
-                verifier_key: key,
-                image: linked.image,
-                map: linked.map,
-                jobs,
-            }
-        })
-        .collect()
-}
-
 /// Verifies every deployment's fleet with `threads` workers on a fresh
 /// (cold-cache) verifier per deployment.
 fn run_fleet(deployments: &[Deployment], threads: usize) {
     for d in deployments {
-        let verifier = Verifier::builder()
-            .key(d.verifier_key.clone())
-            .image(d.image.clone())
-            .map(d.map.clone())
-            .build()
-            .expect("key/image/map are all set");
-        let outcomes = verifier
-            .fleet(BatchOptions::with_threads(threads))
-            .run(d.jobs.clone());
-        assert!(
-            outcomes.iter().all(|o| o.accepted()),
-            "benign fleet must verify"
-        );
+        d.verify(threads);
     }
 }
 
@@ -104,15 +45,32 @@ fn main() {
     let args = BenchArgs::parse();
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let per_workload = if args.quick { 4 } else { FLEET_PER_WORKLOAD };
-    let mut deployments = deployments(per_workload);
-    if args.quick {
-        deployments.truncate(2);
-    }
+    let deployments: Vec<Deployment> = workloads::all()
+        .iter()
+        .take(if args.quick { 2 } else { usize::MAX })
+        .map(|w| Deployment::replicate(w, per_workload))
+        .collect();
     let total_jobs: usize = deployments.iter().map(|d| d.jobs.len()).sum();
     println!(
         "scaling: {} deployments x {per_workload} devices = {total_jobs} streams \
          (host parallelism: {cores})",
         deployments.len()
+    );
+
+    // Replay-cache probe: one deployment's fleet on a single shared
+    // verifier, so later jobs replay the stretches earlier ones cached.
+    let probe = &deployments[0];
+    let verifier = rap_bench::fixtures::bench_verifier(&probe.linked);
+    let _ = verifier
+        .fleet(BatchOptions::default())
+        .run(probe.jobs.clone());
+    let stats = verifier.stats();
+    println!(
+        "replay cache ({}): {:.0}% hit rate, {} cached vs {} live steps",
+        probe.jobs[0].device,
+        stats.hit_rate() * 100.0,
+        stats.cached_steps,
+        stats.live_steps
     );
 
     let thread_counts: &[usize] = if args.quick {

@@ -37,17 +37,16 @@
 use std::sync::Mutex;
 use std::time::Instant;
 
+use rap_bench::fixtures::{
+    bench_client, bench_server_config, bench_verifier, deployed, drive_pipelined, CachedResponder,
+    WINDOW,
+};
 use rap_bench::harness::{BenchArgs, BenchGroup, BenchReport};
-use rap_link::{link, LinkOptions, LinkedProgram};
 use rap_obs::Json;
-use rap_serve::{AttestClient, ClientConfig, Server, ServerConfig};
-use rap_track::{device_key, CfaEngine, Challenge, EngineConfig, Key, Report, Verifier};
+use rap_serve::{Server, ServerConfig};
 
 /// Rounds per client per sample (full mode).
 const ROUNDS_PER_CLIENT: usize = 16;
-
-/// Pipeline window requested by pipelined-mode clients.
-const WINDOW: u16 = 8;
 
 /// The gate: minimum pipelined-over-oneshot throughput ratio at 8
 /// clients on loopback.
@@ -56,87 +55,6 @@ const MIN_PIPELINE_SPEEDUP_8: f64 = 3.0;
 /// The telemetry gate: maximum pipelined-throughput regression at 8
 /// clients with the admin plane bound and scraped once per second.
 const MAX_ADMIN_OVERHEAD_PCT: f64 = 2.0;
-
-fn bench_key() -> Key {
-    device_key("serve-bench")
-}
-
-fn deployed() -> (LinkedProgram, workloads::Workload) {
-    let w = workloads::by_name("syringe").expect("syringe workload exists");
-    let linked = link(&w.module, 0, LinkOptions::default()).expect("workload links");
-    (linked, w)
-}
-
-fn bench_verifier(linked: &LinkedProgram) -> Verifier {
-    Verifier::builder()
-        .key(bench_key())
-        .image(linked.image.clone())
-        .map(linked.map.clone())
-        .build()
-        .expect("key/image/map are all set")
-}
-
-/// Executes the workload once and keeps the evidence; responding to a
-/// challenge re-signs the recorded logs under it (the HMAC is the only
-/// challenge-dependent part of a report), so per-round prover cost is
-/// identical across disciplines and small enough that protocol
-/// overhead dominates the measurement.
-struct CachedResponder {
-    reports: Vec<Report>,
-}
-
-impl CachedResponder {
-    fn new(linked: &LinkedProgram, w: &workloads::Workload) -> CachedResponder {
-        let engine = CfaEngine::new(bench_key());
-        let mut machine = mcu_sim::Machine::new(linked.image.clone());
-        (w.attach)(&mut machine);
-        let reports = engine
-            .attest(
-                &mut machine,
-                &linked.map,
-                Challenge::from_seed(0),
-                EngineConfig {
-                    max_instrs: w.max_instrs * 2,
-                    watermark: Some(256),
-                },
-            )
-            .expect("benign attestation runs")
-            .reports;
-        CachedResponder { reports }
-    }
-
-    fn respond(&self, chal: Challenge) -> Vec<Report> {
-        self.reports
-            .iter()
-            .enumerate()
-            .map(|(seq, r)| {
-                Report::new(
-                    &bench_key(),
-                    chal,
-                    r.h_mem,
-                    r.log.clone(),
-                    seq as u32,
-                    r.is_final,
-                    r.overflow,
-                )
-            })
-            .collect()
-    }
-}
-
-fn bench_client(addr: std::net::SocketAddr, window: u16) -> AttestClient {
-    AttestClient::new(
-        addr.to_string(),
-        ClientConfig {
-            retries: 8,
-            backoff_base: std::time::Duration::from_millis(1),
-            backoff_cap: std::time::Duration::from_millis(20),
-            read_timeout: std::time::Duration::from_secs(30),
-            window,
-            ..ClientConfig::default()
-        },
-    )
-}
 
 /// One oneshot sample: every round is its own connection. Each round's
 /// client-observed latency (connect through verdict) lands in `lat`.
@@ -169,39 +87,6 @@ fn drive_oneshot(
     });
 }
 
-/// One pipelined sample: each client keeps one connection with
-/// [`WINDOW`] rounds in flight. Latency is recorded as the mean
-/// per-round time on the connection — individual verdicts overlap, so
-/// a per-verdict wall time would double-count waiting.
-fn drive_pipelined(
-    addr: std::net::SocketAddr,
-    responder: &CachedResponder,
-    clients: usize,
-    rounds: usize,
-    lat: &Mutex<Vec<u64>>,
-) {
-    std::thread::scope(|scope| {
-        for i in 0..clients {
-            scope.spawn(move || {
-                let client = bench_client(addr, WINDOW);
-                let mut conn = client
-                    .open(&format!("pipelined-{i}"))
-                    .expect("connection opens");
-                let t0 = Instant::now();
-                let verdicts = conn
-                    .pipelined(rounds, |chal| responder.respond(chal))
-                    .expect("pipelined rounds complete");
-                let per_round = (t0.elapsed().as_nanos() as u64) / rounds.max(1) as u64;
-                assert!(
-                    verdicts.iter().all(|v| v.accepted),
-                    "benign rounds must verify"
-                );
-                lat.lock().unwrap().push(per_round);
-            });
-        }
-    });
-}
-
 fn p99(samples: &mut [u64]) -> u64 {
     if samples.is_empty() {
         return 0;
@@ -226,12 +111,7 @@ fn main() {
             let server = Server::start(
                 bench_verifier(&linked),
                 "127.0.0.1:0",
-                ServerConfig {
-                    threads: 4,
-                    window: WINDOW,
-                    session_secret: b"serve-bench-secret".to_vec(),
-                    ..ServerConfig::default()
-                },
+                bench_server_config(),
             )
             .expect("server binds");
             let addr = server.local_addr();
@@ -293,11 +173,8 @@ fn main() {
             bench_verifier(&linked),
             "127.0.0.1:0",
             ServerConfig {
-                threads: 4,
-                window: WINDOW,
-                session_secret: b"serve-bench-secret".to_vec(),
                 admin_addr: with_admin.then(|| "127.0.0.1:0".to_string()),
-                ..ServerConfig::default()
+                ..bench_server_config()
             },
         )
         .expect("server binds");

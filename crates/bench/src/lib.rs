@@ -13,10 +13,12 @@
 //! | §V-B | partial-report transmissions with the 4 KiB MTB SRAM |
 //!
 //! Used by the `figures` binary, the dependency-free benches under
-//! `benches/` (see [`harness`]) and the integration tests.
+//! `benches/` (see [`harness`], with shared setup in [`fixtures`]) and
+//! the integration tests.
 
 #![warn(missing_docs)]
 
+pub mod fixtures;
 pub mod harness;
 
 use cfa_baselines::{instrument, run_naive_mtb, run_plain, TracesConfig};

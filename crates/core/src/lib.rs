@@ -68,7 +68,8 @@ pub use policy::{PathPolicy, PathStats, PolicyFinding};
 pub use protocol::{SessionError, VerifierSession};
 pub use report::{device_key, CfLog, Challenge, Key, Report};
 pub use verdict::{
-    short_hash_hex, stats_digest, verdict_seal_key, VerdictDraft, VerdictError, VerdictRecord,
+    short_hash_hex, stats_digest, verdict_seal_key, Evidence, VerdictDraft, VerdictError,
+    VerdictRecord,
 };
 pub use verifier::{
     BuildError, PathEvent, ReplaySession, VerifiedPath, Verifier, VerifierBuilder, Violation,

@@ -26,7 +26,7 @@ use rap_crypto::hmac_sha256;
 use rap_link::LinkMap;
 
 use crate::report::{Challenge, Key, Report};
-use crate::verdict::{stats_digest, VerdictDraft, VerdictRecord};
+use crate::verdict::{Evidence, VerdictDraft, VerdictRecord};
 use crate::verifier::{VerifiedPath, Verifier, Violation};
 
 /// The Verifier's per-device session state.
@@ -68,6 +68,18 @@ impl std::fmt::Display for SessionError {
 }
 
 impl std::error::Error for SessionError {}
+
+impl SessionError {
+    /// Stable kind word sealed into rejection records; a verification
+    /// failure carries its [`Violation::kind`].
+    pub fn kind(&self) -> &'static str {
+        match self {
+            SessionError::NoOutstandingChallenge => "no-outstanding-challenge",
+            SessionError::ChallengeReused => "challenge-reused",
+            SessionError::Verification(v) => v.kind(),
+        }
+    }
+}
 
 impl VerifierSession {
     /// Opens a session for one deployed application.
@@ -181,40 +193,18 @@ impl VerifierSession {
     ) -> (VerdictRecord, Result<VerifiedPath, SessionError>) {
         let chal = self.outstanding.front().copied();
         let result = self.check_response(reports);
-        let stats = self.verifier.stats();
-        let mut draft = VerdictDraft {
-            device: device.to_string(),
-            chal: chal.unwrap_or(Challenge([0u8; 32])),
-            report_hash: rap_crypto::sha256(&crate::wire::encode_stream(reports)),
-            stats_digest: stats_digest(&stats),
-            dict_hits: reports
-                .iter()
-                .map(|r| r.log.dict_hits.len() as u32)
-                .fold(0u32, u32::saturating_add),
-            cache_hits: stats.cache_hits,
-            cache_misses: stats.cache_misses,
-            seq: self.responses,
-            ..VerdictDraft::default()
-        };
-        match &result {
-            Ok(path) => {
-                draft.accepted = true;
-                draft.events = path.events.len() as u32;
-                draft.steps = path.steps;
-            }
-            Err(SessionError::NoOutstandingChallenge) => {
-                draft.kind = "no-outstanding-challenge".to_string();
-                draft.detail = SessionError::NoOutstandingChallenge.to_string();
-            }
-            Err(SessionError::ChallengeReused) => {
-                draft.kind = "challenge-reused".to_string();
-                draft.detail = SessionError::ChallengeReused.to_string();
-            }
-            Err(SessionError::Verification(v)) => {
-                draft.kind = v.kind().to_string();
-                draft.detail = v.to_string();
-            }
-        }
+        let outcome = result.as_ref().map_err(|e| match e {
+            SessionError::Verification(v) => (v.kind(), v.to_string()),
+            e => (e.kind(), e.to_string()),
+        });
+        let draft = VerdictDraft::judged(
+            device,
+            self.responses,
+            chal,
+            Evidence::Reports(reports),
+            &self.verifier.stats(),
+            outcome,
+        );
         (self.verifier.seal_verdict(draft), result)
     }
 
@@ -385,6 +375,34 @@ mod tests {
             s.check_response(&reports),
             Err(SessionError::NoOutstandingChallenge)
         ));
+    }
+
+    /// Golden bytes for the `challenge-reused` record, the one session
+    /// rejection the public API cannot reach: a consumed nonce is put
+    /// back at the front of the window. The other producers are pinned
+    /// in the workspace's `verdict_golden` tests.
+    #[test]
+    fn challenge_reused_record_hash_is_pinned() {
+        let linked = linked();
+        let mut s = session(&linked);
+        let chal = s.issue_challenge();
+        let reports = respond(&linked, chal);
+        let (first, _) = s.check_response_record("golden-dev", &reports);
+        assert!(first.accepted());
+        s.outstanding.push_back(chal);
+        let (record, result) = s.check_response_record("golden-dev", &reports);
+        assert!(matches!(result, Err(SessionError::ChallengeReused)));
+        let hash: String = record
+            .record_hash()
+            .iter()
+            .map(|b| format!("{b:02x}"))
+            .collect();
+        assert_eq!(
+            hash,
+            "80a63505841edb4d11e8e71c9ecc90daac1e051ba29d979fec304850f956eeaf",
+            "{}",
+            record.render()
+        );
     }
 
     #[test]

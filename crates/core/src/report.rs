@@ -4,7 +4,10 @@ use rap_crypto::{hmac_sha256, verify_tag, Digest, HmacSha256};
 use trace_units::{SubPathHit, TraceEntry};
 
 /// A fresh verifier challenge (nonce).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+///
+/// The [`Default`] is the all-zero placeholder a sealed verdict carries
+/// when no challenge was matched; a verifier never issues it.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Challenge(pub [u8; 32]);
 
 impl Challenge {

@@ -37,7 +37,8 @@
 use rap_crypto::{hmac_sha256, sha256, verify_tag, Digest, HmacSha256};
 
 use crate::metrics::VerifierStats;
-use crate::report::Challenge;
+use crate::report::{Challenge, Report};
+use crate::verifier::VerifiedPath;
 
 const MAGIC: &[u8; 4] = b"RAPV";
 const VERSION: u8 = 1;
@@ -75,13 +76,14 @@ pub fn stats_digest(stats: &VerifierStats) -> Digest {
 
 /// The unsealed fields of a verdict — everything except the tag.
 ///
-/// Fill one of these and pass it to [`VerdictRecord::seal`]; the
-/// high-level producers ([`Verifier::verify_record`] and
+/// Every judged round is built by [`VerdictDraft::judged`] and passed
+/// to [`VerdictRecord::seal`]; the high-level producers
+/// ([`Verifier::verify_record`] and
 /// [`VerifierSession::check_response_record`]) do this for you.
 ///
 /// [`Verifier::verify_record`]: crate::Verifier::verify_record
 /// [`VerifierSession::check_response_record`]: crate::VerifierSession::check_response_record
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct VerdictDraft {
     /// Device identifier the verdict is about.
     pub device: String,
@@ -115,22 +117,67 @@ pub struct VerdictDraft {
     pub seq: u64,
 }
 
-impl Default for VerdictDraft {
-    fn default() -> VerdictDraft {
+/// The evidence a verdict judged, as the record hashes it.
+#[derive(Debug, Clone, Copy)]
+pub enum Evidence<'a> {
+    /// A decoded report stream: hashed in its canonical wire encoding,
+    /// with its dictionary hits counted.
+    Reports(&'a [Report]),
+    /// A payload that never decoded as a report stream: hashed as-is.
+    Undecoded(&'a [u8]),
+}
+
+impl VerdictDraft {
+    /// The draft for one judged round — the single place a verdict's
+    /// fields are assembled.
+    ///
+    /// `chal` is the challenge the round consumed (`None` when none was
+    /// matched), `stats` the verifier's snapshot taken *after* the
+    /// judgement, and `outcome` the path on acceptance or the failure
+    /// `(kind, detail)` on rejection. `seq` is the producer's logical
+    /// timestamp.
+    pub fn judged(
+        device: &str,
+        seq: u64,
+        chal: Option<Challenge>,
+        evidence: Evidence<'_>,
+        stats: &VerifierStats,
+        outcome: Result<&VerifiedPath, (&str, String)>,
+    ) -> VerdictDraft {
+        let (report_hash, dict_hits) = match evidence {
+            Evidence::Reports(reports) => (
+                sha256(&crate::wire::encode_stream(reports)),
+                reports
+                    .iter()
+                    .map(|r| r.log.dict_hits.len() as u32)
+                    .fold(0u32, u32::saturating_add),
+            ),
+            Evidence::Undecoded(payload) => (sha256(payload), 0),
+        };
+        let (accepted, events, steps, kind, detail) = match outcome {
+            Ok(path) => (
+                true,
+                path.events.len() as u32,
+                path.steps,
+                "",
+                String::new(),
+            ),
+            Err((kind, detail)) => (false, 0, 0, kind, detail),
+        };
         VerdictDraft {
-            device: String::new(),
-            chal: Challenge([0u8; 32]),
-            report_hash: [0u8; 32],
-            accepted: false,
-            kind: String::new(),
-            detail: String::new(),
-            events: 0,
-            steps: 0,
-            stats_digest: [0u8; 32],
-            dict_hits: 0,
-            cache_hits: 0,
-            cache_misses: 0,
-            seq: 0,
+            device: device.to_string(),
+            chal: chal.unwrap_or_default(),
+            report_hash,
+            accepted,
+            kind: kind.to_string(),
+            detail,
+            events,
+            steps,
+            stats_digest: stats_digest(stats),
+            dict_hits,
+            cache_hits: stats.cache_hits,
+            cache_misses: stats.cache_misses,
+            seq,
         }
     }
 }

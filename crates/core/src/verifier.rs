@@ -810,32 +810,14 @@ impl Verifier {
         reports: &[Report],
     ) -> (crate::VerdictRecord, Result<VerifiedPath, Violation>) {
         let result = self.verify(chal, reports);
-        let stats = self.stats();
-        let mut draft = crate::VerdictDraft {
-            device: device.to_string(),
-            chal,
-            report_hash: rap_crypto::sha256(&crate::wire::encode_stream(reports)),
-            stats_digest: crate::verdict::stats_digest(&stats),
-            dict_hits: reports
-                .iter()
-                .map(|r| r.log.dict_hits.len() as u32)
-                .fold(0u32, u32::saturating_add),
-            cache_hits: stats.cache_hits,
-            cache_misses: stats.cache_misses,
+        let draft = crate::VerdictDraft::judged(
+            device,
             seq,
-            ..crate::VerdictDraft::default()
-        };
-        match &result {
-            Ok(path) => {
-                draft.accepted = true;
-                draft.events = path.events.len() as u32;
-                draft.steps = path.steps;
-            }
-            Err(v) => {
-                draft.kind = v.kind().to_string();
-                draft.detail = v.to_string();
-            }
-        }
+            Some(chal),
+            crate::verdict::Evidence::Reports(reports),
+            &self.stats(),
+            result.as_ref().map_err(|v| (v.kind(), v.to_string())),
+        );
         (self.seal_verdict(draft), result)
     }
 

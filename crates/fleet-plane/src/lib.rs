@@ -17,7 +17,7 @@
 //! - [`registry`]: the fleet-wide device table, the transition audit
 //!   log, a JSON round-trip for persistence and the admin plane, and
 //!   [`FleetPlane`] — the shared, locked form with adapters for
-//!   rap-serve's verdict hook and admin-extra extension points.
+//!   rap-serve's round hook and admin-extra extension points.
 //! - [`sched`]: the periodic challenge scheduler; quarantined devices
 //!   are throttled to every Nth interval.
 //! - [`sim`]: a deterministic simulated fleet over loopback TCP —

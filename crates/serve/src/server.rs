@@ -48,24 +48,15 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use rap_audit::AuditLog;
-use rap_crypto::{hmac_sha256, sha256};
+use rap_crypto::hmac_sha256;
 use rap_obs::{Json, RoundCollector, RoundExemplar, StageSpan};
-use rap_track::{
-    decode_stream, stats_digest, Challenge, VerdictDraft, VerdictRecord, Verifier, VerifierSession,
-};
+use rap_track::{decode_stream, Evidence, VerdictDraft, VerdictRecord, Verifier, VerifierSession};
 
 use crate::frame::{
     decode_frame, decode_hello, decode_resume, decode_stats_request, encode_error, encode_frame,
     encode_session, read_frame, write_frame, ErrorCode, Frame, FrameError, FrameType,
     ReadFrameError, ResumeToken, SessionGrant, StatsFormat, Verdict, DEFAULT_MAX_FRAME_LEN,
 };
-
-/// The callback type wrapped by [`VerdictHook`]: `(device, accepted)`.
-#[deprecated(
-    since = "0.1.0",
-    note = "use RoundEventFn / RoundHook, which carries the sealed VerdictRecord"
-)]
-pub type VerdictFn = dyn Fn(&str, bool) + Send + Sync;
 
 /// The callback type wrapped by [`RoundHook`].
 pub type RoundEventFn = dyn Fn(&RoundEvent) + Send + Sync;
@@ -93,36 +84,6 @@ pub enum RoundEvent {
 /// The provider type wrapped by [`AdminExtra`]: extra top-level
 /// `(name, value)` fields for the telemetry JSON.
 pub type AdminExtraFn = dyn Fn() -> Vec<(String, Json)> + Send + Sync;
-
-/// A server-side observer invoked once per verified round with the
-/// device name and whether the evidence was accepted, synchronously on
-/// the shard worker *before* the verdict batch is flushed.
-///
-/// Deprecated bool-form shim, kept for one release: new code should
-/// use [`RoundHook`], whose [`RoundEvent`] carries the sealed
-/// [`VerdictRecord`] instead of a bare bool.
-#[deprecated(
-    since = "0.1.0",
-    note = "use RoundHook, whose RoundEvent carries the sealed VerdictRecord"
-)]
-#[derive(Clone)]
-#[allow(deprecated)]
-pub struct VerdictHook(pub Arc<VerdictFn>);
-
-#[allow(deprecated)]
-impl VerdictHook {
-    /// Wraps a callback.
-    pub fn new(f: impl Fn(&str, bool) + Send + Sync + 'static) -> VerdictHook {
-        VerdictHook(Arc::new(f))
-    }
-}
-
-#[allow(deprecated)]
-impl std::fmt::Debug for VerdictHook {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("VerdictHook(..)")
-    }
-}
 
 /// A server-side observer invoked once per round with a typed
 /// [`RoundEvent`], synchronously on the shard worker *before* the
@@ -215,16 +176,6 @@ pub struct ServerConfig {
     /// `admin_device_table_evictions_total`), so a churning fleet
     /// cannot grow server memory without bound.
     pub device_table_cap: usize,
-    /// Called once per verified round with `(device, accepted)`, on
-    /// the shard worker before the verdict batch flushes. Deprecated
-    /// bool-form shim — use [`ServerConfig::round_hook`]; when both
-    /// are set, both fire.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use round_hook, whose RoundEvent carries the sealed VerdictRecord"
-    )]
-    #[allow(deprecated)]
-    pub verdict_hook: Option<VerdictHook>,
     /// Called once per round with a typed [`RoundEvent`] carrying the
     /// sealed [`VerdictRecord`], on the shard worker before the
     /// verdict batch flushes.
@@ -238,7 +189,6 @@ pub struct ServerConfig {
 }
 
 impl Default for ServerConfig {
-    #[allow(deprecated)]
     fn default() -> ServerConfig {
         ServerConfig {
             threads: 4,
@@ -258,7 +208,6 @@ impl Default for ServerConfig {
             slow_round_threshold: Duration::from_millis(5),
             exemplar_capacity: 64,
             device_table_cap: 1024,
-            verdict_hook: None,
             round_hook: None,
             audit_log: None,
             admin_extra: None,
@@ -1308,10 +1257,6 @@ fn serve_connection(shared: &Shared, verifier: &Verifier, pending: PendingConn) 
                     } else {
                         tick.rejected += 1;
                     }
-                    #[allow(deprecated)]
-                    if let Some(hook) = &config.verdict_hook {
-                        (hook.0)(&device, accepted);
-                    }
                     if let Some(hook) = &config.round_hook {
                         (hook.0)(&RoundEvent::Verdict {
                             device: device.clone(),
@@ -1446,19 +1391,15 @@ fn verify_one(session: &mut VerifierSession, device: &str, payload: &[u8]) -> Ve
             // it burned and a hash of the raw payload.
             let chal = session.outstanding();
             let _ = session.check_response(&[]);
-            let stats = session.verifier().stats();
-            session.verifier().seal_verdict(VerdictDraft {
-                device: device.to_string(),
-                chal: chal.unwrap_or(Challenge([0u8; 32])),
-                report_hash: sha256(payload),
-                stats_digest: stats_digest(&stats),
-                cache_hits: stats.cache_hits,
-                cache_misses: stats.cache_misses,
-                kind: "wire".to_string(),
-                detail: wire.to_string(),
-                seq: session.responses_checked(),
-                ..VerdictDraft::default()
-            })
+            let verifier = session.verifier();
+            verifier.seal_verdict(VerdictDraft::judged(
+                device,
+                session.responses_checked(),
+                chal,
+                Evidence::Undecoded(payload),
+                &verifier.stats(),
+                Err(("wire", wire.to_string())),
+            ))
         }
         Ok(reports) => session.check_response_record(device, &reports).0,
     }
@@ -1480,9 +1421,11 @@ fn flush_tick(
     obs: Option<&ConnObs<'_>>,
     audit: Option<&Mutex<AuditLog>>,
 ) -> bool {
-    // Audit first: the batch lands in the chained log before the
-    // verdicts reach the wire, so the log is never *behind* what a
-    // client has seen. One lock + one write for the whole tick.
+    // Audit first: the batch is written to the chained log before the
+    // verdicts reach the wire. The write is not fsynced, so the log
+    // holds every verdict a client has seen across a crash of this
+    // process, but not across an OS crash. One lock + one write for
+    // the whole tick.
     if let Some(audit) = audit {
         let records = std::mem::take(&mut tick.records);
         if !records.is_empty() {

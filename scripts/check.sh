@@ -31,7 +31,6 @@ run cargo run --release -q -p rap-cli --bin rap -- fuzz --seed 2 --iters 20 --sa
 
 # Bench smoke: reduced configurations, but they still exercise the
 # speedup/overhead assertions and regenerate the JSON artifacts.
-run cargo bench -p rap-bench --bench fleet -- --quick --json "$PWD/BENCH_fleet.json"
 run cargo bench -p rap-bench --bench figures -- --quick --json "$PWD/BENCH_figures.json"
 run cargo bench -p rap-bench --bench obs -- --quick
 # Scaling gate: --enforce fails the run if the 4-thread fleet speedup
