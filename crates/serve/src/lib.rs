@@ -8,12 +8,11 @@
 //! * [`Server`] — bounded accept loop → device-sharded dispatcher →
 //!   one worker per verifier shard, every connection a
 //!   [`rap_track::VerifierSession`] over clones of one shared
-//!   [`rap_track::Verifier`] (one replay cache for the whole fleet,
-//!   with per-device thread locality from the sharding). Rounds are
-//!   pipelined up to a granted window and verdict/observability
-//!   writes are batched per drain tick. Overload is shed with
-//!   `ERROR busy`; shutdown drains in-flight rounds and flushes
-//!   `rap-obs`. A closing connection parks its session under a
+//!   [`rap_track::Verifier`] (one replay cache for the whole fleet).
+//!   Rounds are pipelined up to a granted window and
+//!   verdict/observability writes are batched per drain tick. Overload
+//!   is shed with `ERROR busy`; shutdown drains in-flight rounds and
+//!   flushes `rap-obs`. A closing connection parks its session under a
 //!   single-use resumption token so the device can continue its nonce
 //!   chain on the next connection.
 //! * [`AttestClient`] — connect/read deadlines and bounded

@@ -4,11 +4,10 @@
 //! through pipelined CHALLENGE/ATTEST/VERDICT rounds.
 //!
 //! All shard workers clone one [`Verifier`], so every connection
-//! shares the two-level replay cache — a fleet of devices running the
-//! same binary decodes each deterministic stretch once, no matter
-//! which connection saw it first. Routing by device id additionally
-//! keeps each device's rounds on one worker thread, so the per-thread
-//! L1 of the replay cache stays warm for that device. Session state
+//! shares its segment table — a fleet of devices running the same
+//! binary decodes each deterministic stretch once, no matter which
+//! connection saw it first. Routing by device id keeps each device's
+//! rounds, and its parked session, on one worker thread. Session state
 //! (nonces, used-challenge set) stays strictly per-connection: each
 //! fresh session is seeded with the server secret *plus a unique
 //! connection id*, so a nonce can never repeat across connections.
